@@ -84,9 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["vector", "columnar", "legacy", "wcoj", "yannakakis"],
         default="vector",
         help="relational execution engine: the vectorized batch kernel "
-        "(default; cyclic schemes are auto-routed to the worst-case "
-        "optimal generic join and acyclic ones to the Yannakakis "
-        "semijoin-reduction pipeline), the classic per-row columnar "
+        "(default; each connected subset of three or more relations is "
+        "priced and may run on the worst-case optimal generic join or the "
+        "Yannakakis semijoin-reduction pipeline), the classic per-row columnar "
         "kernel, the legacy row-at-a-time paths, the generic-join "
         "engine forced on, or the Yannakakis engine forced on (see "
         "docs/performance.md)",

@@ -25,6 +25,16 @@ join cardinality).  Only genuinely cyclic connected subsets fall back to
 materializing the join.  Counts survive join-cache eviction: evicted
 results leave their cardinality behind in the tau-cache.
 
+Joins are computed per connected subset, and the kernel is chosen per
+subset too (:meth:`Database._price`): an unpinned database on the
+default engine runs a subset ``S`` of three or more relations on Generic
+Join or the Yannakakis pipeline only when that kernel's bound --
+``AGM(S)``, or the input size -- is below ``tau(S-l)``, the size of the
+stepping stone the binary extension ``R_{S-l} ⋈ R_l`` would start from.
+Stepping stones nobody asked for through ``join_of`` stay out of the
+join memo (:meth:`Database._stone`); :meth:`Database.kernel_stats` says
+which kernels ran.
+
 The paper's relation schemes within one database are distinct sets of
 attributes, and we enforce that; display names are carried by the
 relations for readable strategies.
@@ -33,6 +43,7 @@ relations for readable strategies.
 from __future__ import annotations
 
 from collections import OrderedDict
+from math import prod
 from typing import (
     Callable,
     Dict,
@@ -42,6 +53,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Tuple,
     TypeVar,
@@ -64,6 +76,7 @@ from repro.runtime.core import current_runtime
 from repro.schemegraph.acyclicity import is_alpha_acyclic
 from repro.schemegraph.jointree import build_join_tree
 from repro.schemegraph.scheme import DatabaseScheme
+from repro.wcoj.agm import fractional_edge_cover
 from repro.wcoj.join import GenericJoinExhausted, generic_join, record_fallback
 from repro.yannakakis.join import (
     YannakakisExhausted,
@@ -71,7 +84,7 @@ from repro.yannakakis.join import (
     yannakakis_join,
 )
 
-__all__ = ["CacheStats", "Database", "database"]
+__all__ = ["CacheStats", "Database", "KernelChoice", "KernelStats", "database"]
 
 # Subset-join cache telemetry (see docs/observability.md).  The hit/miss
 # counters cover both the join memo and the tau-cache: a tau-cache hit is
@@ -134,6 +147,10 @@ class _BoundedCache(Generic[_K, _V]):
                 evicted_key, evicted_value = data.popitem(last=False)
                 if self._on_evict is not None:
                     self._on_evict(evicted_key, evicted_value)
+
+    def pop(self, key: _K) -> Optional[_V]:
+        """Remove and return ``key``'s value (``None`` when absent)."""
+        return self._data.pop(key, None)
 
     def __contains__(self, key: object) -> bool:
         return key in self._data
@@ -224,6 +241,105 @@ class CacheStats:
         )
 
 
+#: The kernels a connected subset of three or more relations can run on.
+BINARY = "binary"
+GENERIC_JOIN = "generic_join"
+YANNAKAKIS = "yannakakis"
+KERNELS = (BINARY, GENERIC_JOIN, YANNAKAKIS)
+
+
+class KernelChoice(NamedTuple):
+    """One priced kernel decision (see :meth:`Database._price`):
+    ``kernel`` ran on a connected subset of ``relations`` relations,
+    chosen on the bound ``priced`` (``AGM(S)`` for Generic Join, the
+    input size for Yannakakis, ``tau(S-l)`` for the binary extension);
+    ``actual`` is the subset's tau."""
+
+    kernel: str
+    relations: int
+    priced: float
+    actual: int
+
+
+class KernelStats:
+    """A point-in-time snapshot of which join kernels one database ran.
+
+    Returned by :meth:`Database.kernel_stats`.  ``binary``,
+    ``generic_join`` and ``yannakakis`` count the connected subsets of
+    three or more relations joined on each kernel (a multiway kernel
+    that fell back to the binary extension counts as binary);
+    ``choices`` lists the decisions priced by bound, in order, each with
+    the bound it won on next to the actual tau.  Pinned databases and
+    explicit process engines run kernels without pricing them, so their
+    joins are counted but add no choice.  Snapshots subtract
+    (:meth:`delta`) like :class:`CacheStats`.
+    """
+
+    __slots__ = ("binary", "generic_join", "yannakakis", "choices")
+
+    def __init__(
+        self,
+        binary: int = 0,
+        generic_join: int = 0,
+        yannakakis: int = 0,
+        choices: Tuple[KernelChoice, ...] = (),
+    ):
+        self.binary = binary
+        self.generic_join = generic_join
+        self.yannakakis = yannakakis
+        self.choices = choices
+
+    @property
+    def priced(self) -> float:
+        """The summed bounds of the priced choices."""
+        return sum(choice.priced for choice in self.choices)
+
+    @property
+    def actual(self) -> int:
+        """The summed actual taus of the priced choices."""
+        return sum(choice.actual for choice in self.choices)
+
+    def delta(self, earlier: "KernelStats") -> "KernelStats":
+        """The kernel runs between ``earlier`` and this snapshot."""
+        return KernelStats(
+            binary=self.binary - earlier.binary,
+            generic_join=self.generic_join - earlier.generic_join,
+            yannakakis=self.yannakakis - earlier.yannakakis,
+            choices=self.choices[len(earlier.choices):],
+        )
+
+    def describe(self) -> str:
+        """The body of the ``kernels:`` explain line."""
+        line = (
+            f"binary {self.binary}, generic join "
+            f"{self.generic_join}, yannakakis {self.yannakakis}"
+        )
+        if self.choices:
+            line += (
+                f" ({len(self.choices)} priced: bound {self.priced:.6g}, "
+                f"actual tau {self.actual})"
+            )
+        return line
+
+    def to_dict(self) -> Dict[str, object]:
+        """A JSON-ready dict, each choice as a dict."""
+        return {
+            "binary": self.binary,
+            "generic_join": self.generic_join,
+            "yannakakis": self.yannakakis,
+            "priced": self.priced,
+            "actual": self.actual,
+            "choices": [choice._asdict() for choice in self.choices],
+        }
+
+    def __repr__(self) -> str:
+        return (
+            f"<KernelStats binary={self.binary} "
+            f"generic_join={self.generic_join} "
+            f"yannakakis={self.yannakakis} priced={len(self.choices)}>"
+        )
+
+
 class Database:
     """An immutable database: one relation state per relation scheme."""
 
@@ -232,11 +348,15 @@ class Database:
         "_scheme",
         "_join_cache",
         "_tau_cache",
+        "_stones",
         "_join_hits",
         "_tau_hits",
         "_computed",
         "_connected",
         "_engine",
+        "_kernel_runs",
+        "_kernel_choices",
+        "_cyclic",
         # The resource sampler watches databases by weakref (a dropped
         # database must not be kept alive by telemetry).
         "__weakref__",
@@ -245,6 +365,11 @@ class Database:
     #: Default bound of the tau-cache.  Counts are a single int per subset,
     #: so the bound exists only to keep pathological enumerations in check.
     DEFAULT_TAU_CACHE_SIZE = 65536
+
+    #: Bound of the cache of cyclic stepping stones (see :meth:`_stone`).
+    #: Clique-6 has 41 cyclic proper subsets; past the bound the least
+    #: recently used stone is dropped and only its tau remains.
+    STONE_CACHE_SIZE = 256
 
     def __init__(
         self,
@@ -284,6 +409,11 @@ class Database:
             join_cache_size,
             on_evict=lambda key, rel: self._tau_cache.put(key, len(rel)),
         )
+        # Cyclic stepping stones nobody requested (their tau is already
+        # in the tau-cache, so eviction needs no hook).
+        self._stones: _BoundedCache[SubsetKey, Relation] = _BoundedCache(
+            self.STONE_CACHE_SIZE
+        )
         # Per-instance cache accounting behind Database.cache_stats().
         # Plain int bumps on paths that already do cache lookups -- cheap
         # enough to track unconditionally, so the snapshot API works with
@@ -291,6 +421,12 @@ class Database:
         self._join_hits = 0
         self._tau_hits = 0
         self._computed = 0
+        # Per-instance kernel accounting behind Database.kernel_stats():
+        # subsets of three or more relations per kernel, and each priced
+        # choice with its bound and actual tau.
+        self._kernel_runs = dict.fromkeys(KERNELS, 0)
+        self._kernel_choices: List[KernelChoice] = []
+        self._cyclic: Dict[SubsetKey, bool] = {}
         # Lazily enumerated connected subsets (see connected_subsets()).
         self._connected: Optional[Tuple[DatabaseScheme, ...]] = None
 
@@ -417,79 +553,190 @@ class Database:
             return self._join_memo(self._resolve_subset(subset))
 
     def _join_memo(self, chosen: SubsetKey) -> Relation:
-        """Compute (and memoize) the subset join.
-
-        The recursion peels off a scheme whose removal keeps the subset
-        connected (a spanning-tree leaf of the subset's intersection
-        graph), so intermediate results never become Cartesian products
-        of a connected input -- removing an arbitrary scheme can shatter
-        the subset into many components whose cross product explodes.
-        Genuinely unconnected subsets are joined component by component
-        (their result *is* the cross product of the component joins).
-        """
+        """The subset join a caller asked for through :meth:`join_of`,
+        memoized.  A join kept earlier as a cyclic stepping stone (see
+        :meth:`_stone`) is promoted into the memo, not recomputed."""
         cached = self._join_cache.get(chosen)
+        if cached is None:
+            cached = self._stones.pop(chosen)
+            if cached is not None:
+                self._join_cache.put(chosen, cached)
         if cached is not None:
             self._join_hits += 1
             if _METRICS.enabled:
                 _CACHE_HITS.inc()
             return cached
-        self._computed += 1
-        if _TRACER.enabled:
-            with _TRACER.span("db.join", relations=len(chosen)) as span:
-                result = self._compute_join(chosen)
-                span.set_attribute("tau", len(result))
-            _CACHE_MISSES.inc()
-            self._join_cache.put(chosen, result)
-            return result
-        result = self._compute_join(chosen)
+        result, _cyclic = self._fresh_join(chosen)
         self._join_cache.put(chosen, result)
         return result
 
-    def _compute_join(self, chosen: SubsetKey) -> Relation:
+    def _stone(self, chosen: SubsetKey) -> Relation:
+        """A subset join needed only on the way to another result: the
+        ``R_{S-l}`` of a binary extension, a component of an unconnected
+        join, or a cyclic subset materialized to count it.
+
+        Nobody asked for it through :meth:`join_of`, so it stays out of
+        the join memo and leaves its tau in the tau-cache.  Cyclic stones
+        are also kept whole in a small LRU cache: a cyclic subset's tau
+        cannot be counted without its join, and the planner asks for the
+        tau of every connected subset, so each cyclic stone is the
+        stepping stone of several larger ones.  Acyclic stones (a
+        cycle's long paths, say) are dropped: their tau is counted by a
+        sweep, and keeping their joins only costs memory.
+        """
         if len(chosen) == 1:
             (only,) = chosen
-            result = self._relations[only]
-        else:
-            components = DatabaseScheme(chosen).components()
-            if len(components) > 1:
-                parts = sorted(
-                    (frozenset(c.schemes) for c in components),
-                    key=lambda part: sorted(s.sorted() for s in part),
-                )
-                result = self._join_memo(parts[0])
-                for part in parts[1:]:
-                    result = result.join(self._join_memo(part))
-            else:
-                result = self._multiway_join(chosen)
-                if result is None:
-                    leaf = self._spanning_tree_leaf(chosen)
-                    result = self._join_memo(chosen - {leaf}).join(
-                        self._relations[leaf]
-                    )
+            return self._relations[only]
+        cached = self._join_cache.get(chosen)
+        if cached is None:
+            cached = self._stones.get(chosen)
+        if cached is not None:
+            self._join_hits += 1
+            if _METRICS.enabled:
+                _CACHE_HITS.inc()
+            return cached
+        result, cyclic = self._fresh_join(chosen)
+        self._tau_cache.put(chosen, len(result))
+        if cyclic:
+            self._stones.put(chosen, result)
         return result
 
-    def _multiway_join(self, chosen: SubsetKey) -> Optional[Relation]:
-        """Dispatch a connected subset of >= 3 relations to a multiway
-        kernel, or return ``None`` for the binary pipeline.
+    def _fresh_join(self, chosen: SubsetKey) -> Tuple[Relation, bool]:
+        """Compute a subset join that no cache holds (counted and traced)."""
+        self._computed += 1
+        if _TRACER.enabled:
+            with _TRACER.span("db.join", relations=len(chosen)) as span:
+                result, cyclic = self._compute_join(chosen)
+                span.set_attribute("tau", len(result))
+            _CACHE_MISSES.inc()
+            return result, cyclic
+        return self._compute_join(chosen)
 
-        The dispatch mirrors :class:`~repro.optimizer.route.EngineRouter`
-        at the per-subset level: cyclic subsets go to Generic Join when
-        the ``wcoj`` flag is up, acyclic subsets to the Yannakakis
-        pipeline when the ``yannakakis`` flag is up.  The ``"yannakakis"``
-        engine raises both flags, so a mixed database (a cyclic connected
-        subset inside an acyclic query) routes every subset to its best
-        kernel; the ``"wcoj"`` engine keeps acyclic subsets on the binary
-        pipeline (a join tree already gives an optimal binary order
-        there, and Generic Join would only add trie-building overhead).
+    def _compute_join(self, chosen: SubsetKey) -> Tuple[Relation, bool]:
+        """``R_chosen``, and whether ``chosen`` is a connected cyclic
+        subset.
+
+        Genuinely unconnected subsets are joined component by component
+        (their result *is* the cross product of the component joins);
+        connected ones go to :meth:`_connected_join`.
         """
+        if len(chosen) == 1:
+            (only,) = chosen
+            return self._relations[only], False
+        subscheme = DatabaseScheme(chosen)
+        components = subscheme.components()
+        if len(components) == 1:
+            return self._connected_join(chosen, subscheme)
+        parts = sorted(
+            (frozenset(c.schemes) for c in components),
+            key=lambda part: sorted(s.sorted() for s in part),
+        )
+        result = self._stone(parts[0])
+        for part in parts[1:]:
+            result = result.join(self._stone(part))
+        return result, False
+
+    def _connected_join(
+        self, chosen: SubsetKey, subscheme: DatabaseScheme
+    ) -> Tuple[Relation, bool]:
+        """Join a connected subset on the kernel its price (or the pinned
+        engine) picks.
+
+        The binary extension peels off a scheme ``l`` whose removal keeps
+        the subset connected (a spanning-tree leaf of its intersection
+        graph) and joins ``R_l`` to the stepping stone ``R_{S-l}``, so
+        intermediates never become Cartesian products of a connected
+        input.  Subsets of three or more relations may instead run on a
+        multiway kernel: see :meth:`_price` for unpinned databases on the
+        default engine, and :meth:`_pinned_kernel` for everything else.
+        A multiway kernel that trips the ambient runtime falls back to
+        the binary extension.
+        """
+        leaf = self._spanning_tree_leaf(chosen)
+        if len(chosen) < 3:
+            return self._stone(chosen - {leaf}).join(self._relations[leaf]), False
+        cyclic = self._is_cyclic(chosen, subscheme)
+        priced: Optional[float] = None
+        if self._engine is None and current_engine() == "vector":
+            kernel, priced = self._price(chosen, chosen - {leaf}, cyclic)
+        else:
+            kernel = self._pinned_kernel(cyclic)
+        result = None
+        if kernel == GENERIC_JOIN:
+            result = self._wcoj_join(chosen)
+        elif kernel == YANNAKAKIS:
+            result = self._yannakakis_join(chosen)
+        if result is None:
+            kernel = BINARY
+            result = self._stone(chosen - {leaf}).join(self._relations[leaf])
+        self._kernel_runs[kernel] += 1
+        if priced is not None:
+            self._kernel_choices.append(
+                KernelChoice(kernel, len(chosen), priced, len(result))
+            )
+        return result, cyclic
+
+    def _price(
+        self, chosen: SubsetKey, rest: SubsetKey, cyclic: bool
+    ) -> Tuple[str, float]:
+        """The kernel for a connected subset ``S`` of three or more
+        relations, chosen by comparing bounds, and the bound it won on.
+
+        ``rest`` is ``S - l`` for the spanning-tree leaf ``l`` the binary
+        extension would peel off; that extension costs
+        ``O(tau(S-l) + |R_l| + tau(S))``.  Generic Join runs in
+        ``O(AGM(S))`` and ``tau(S) <= AGM(S)``, so a cyclic ``S`` runs on
+        Generic Join only when ``AGM(S) < tau(S-l)``.  Yannakakis runs in
+        ``O(inputs + output)``, so an acyclic ``S`` runs on it only when
+        the inputs ``sum |R_i|`` are below ``tau(S-l)``.  ``tau(S-l)`` is
+        exact and cheap -- a sweep count or a cached value that the
+        planner needs anyway.
+        """
+        tau_rest = self._component_tau(rest)
+        if cyclic:
+            kernel, bound = GENERIC_JOIN, self._agm_bound(chosen)
+        else:
+            kernel = YANNAKAKIS
+            bound = sum(len(self._relations[s]) for s in chosen)
+        if bound < tau_rest:
+            return kernel, bound
+        return BINARY, tau_rest
+
+    def _agm_bound(self, chosen: SubsetKey) -> float:
+        """``AGM(S)``.  When every relation of ``S`` has an attribute no
+        other relation of ``S`` holds, each cover weight must be 1, so
+        the bound is the product of the sizes and no LP is solved."""
+        schemes = sorted(chosen, key=lambda s: s.sorted())
+        sizes = [len(self._relations[s]) for s in schemes]
+        seen: Dict[str, int] = {}
+        for scheme in schemes:
+            for attribute in scheme:
+                seen[attribute] = seen.get(attribute, 0) + 1
+        if all(any(seen[a] == 1 for a in scheme) for scheme in schemes):
+            return prod(sizes)
+        return fractional_edge_cover(schemes, sizes).bound
+
+    def _is_cyclic(self, chosen: SubsetKey, subscheme: DatabaseScheme) -> bool:
+        """Whether a connected subset is cyclic (GYO, memoized: counting
+        and joining the same subset both ask)."""
+        cyclic = self._cyclic.get(chosen)
+        if cyclic is None:
+            cyclic = self._cyclic[chosen] = not is_alpha_acyclic(subscheme)
+        return cyclic
+
+    @staticmethod
+    def _pinned_kernel(cyclic: bool) -> str:
+        """The kernel an explicit engine choice asks for: cyclic subsets
+        go to Generic Join when the ``wcoj`` flag is up, acyclic subsets
+        to the Yannakakis pipeline when the ``yannakakis`` flag is up
+        (the ``"yannakakis"`` engine raises both flags; the ``"wcoj"``
+        engine keeps acyclic subsets binary)."""
         kernel = get_kernel()
-        if not kernel.wcoj or len(chosen) < 3:
-            return None
-        if is_alpha_acyclic(DatabaseScheme(chosen)):
-            if not kernel.yannakakis:
-                return None
-            return self._yannakakis_join(chosen)
-        return self._wcoj_join(chosen)
+        if not kernel.wcoj:
+            return BINARY
+        if cyclic:
+            return GENERIC_JOIN
+        return YANNAKAKIS if kernel.yannakakis else BINARY
 
     def _wcoj_join(self, chosen: SubsetKey) -> Optional[Relation]:
         """The Generic-Join path for connected *cyclic* subsets.
@@ -646,8 +893,9 @@ class Database:
             tree = build_join_tree(subscheme or DatabaseScheme(chosen))
         except AcyclicityError:
             # Cyclic connected subset: no join tree, so the count requires
-            # the join itself.  The memo keeps the materialized result.
-            return len(self._join_memo(chosen))
+            # the join itself, computed as a (kept) stepping stone.
+            self._cyclic[chosen] = True
+            return len(self._stone(chosen))
         tau = self._acyclic_count(tree)
         self._tau_cache.put(chosen, tau)
         return tau
@@ -724,6 +972,21 @@ class Database:
             computed=self._computed,
             join_entries=len(self._join_cache),
             tau_entries=len(self._tau_cache),
+        )
+
+    def kernel_stats(self) -> KernelStats:
+        """A snapshot of the join kernels this database ran.
+
+        Counts accumulate per :class:`Database` instance from
+        construction, tracked with or without observability enabled; see
+        :class:`KernelStats` for the fields.
+        """
+        runs = self._kernel_runs
+        return KernelStats(
+            binary=runs[BINARY],
+            generic_join=runs[GENERIC_JOIN],
+            yannakakis=runs[YANNAKAKIS],
+            choices=tuple(self._kernel_choices),
         )
 
     def reset_cache_stats(self) -> None:

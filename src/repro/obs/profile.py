@@ -296,14 +296,10 @@ class RunReport:
         from repro.optimizer.route import EngineRouter
         from repro.runtime.core import using_runtime
 
-        # Decide the execution engine up front (same policy as
-        # JoinQuery): cyclic schemes on the default engine are routed to
-        # generic join, acyclic ones to the Yannakakis pipeline, and
-        # both the planner and the executor clone run on the routed
-        # engine so the profile reflects reality.
+        # The routing record explains the engine choice (same record as
+        # JoinQuery); kernels are picked per connected subset inside the
+        # planner database and the executor clone alike.
         routing = EngineRouter(db).route()
-        if routing.routed:
-            db = db.with_engine(routing.effective)
         ambient = using_runtime(runtime) if runtime is not None else nullcontext()
         clock = _PhaseClock(track_memory)
         optimizer = "manual"
@@ -448,6 +444,9 @@ class RunReport:
             structure = self.routing.structure_summary()
             if structure is not None:
                 pairs.append(structure)
+            kernels = self.routing.kernels
+            if kernels is not None:
+                pairs.append(("kernels", kernels.describe()))
         if self.degradation is not None:
             pairs.append(
                 (

@@ -1,4 +1,4 @@
-"""Engine routing: which kernel should execute a query's joins.
+"""Engine routing: which kernel executes a query's joins, and why.
 
 The binary-join machinery this library is built around is provably fine
 on alpha-acyclic schemes *when the output is large* -- a join tree gives
@@ -12,34 +12,38 @@ two shapes defeat every binary order:
   Θ(N²) while the full output is tiny, and the Yannakakis full reducer
   (:mod:`repro.yannakakis`) bounds every intermediate by input + output.
 
-:class:`EngineRouter` encodes the resulting policy.  It never overrides
-an explicit choice -- a database pinned with ``engine=`` or a process
-engine somebody :func:`~repro.relational.columnar.set_engine`-ed away
-from the default stays put -- but when the choice is just "the default",
-it classifies every connected component: cyclic components of three or
-more relations want ``"wcoj"``, acyclic ones want ``"yannakakis"``, and
-everything else stays on ``"vector"``.  A database mixing both kinds
-routes to ``"yannakakis"``, whose kernel flags enable *both* multiway
-paths so each connected subset runs on its best kernel (see
-:meth:`~repro.database.Database._multiway_join`).
+Shape alone does not say which kernel is cheaper, though: on clique-6
+every subset is cyclic, yet the binary extension is several times
+faster than Generic Join.  So the kernel is not chosen per database.
+An unpinned database on the default engine prices every connected
+subset ``S`` of three or more relations as it joins it (see
+:meth:`~repro.database.Database._price`): with ``l`` the spanning-tree
+leaf the binary extension peels off, a cyclic ``S`` runs on Generic
+Join only when ``AGM(S) < tau(S-l)``, an acyclic ``S`` on Yannakakis
+only when ``sum |R_i| < tau(S-l)``, and every other subset on the
+binary extension.
 
-The :class:`EngineRouting` record the router returns is the one
-provenance shape for every engine decision: it travels on plan and
-profile provenance so ``explain`` can say which engine ran and why,
-with the AGM bound, the GYO join tree (acyclic) or the Generic-Join
-expansion order (cyclic) alongside.
+:class:`EngineRouter` never overrides an explicit choice -- a database
+pinned with ``engine=`` or a process engine somebody
+:func:`~repro.relational.columnar.set_engine`-ed away from the default
+stays put -- and otherwise reports ``"auto"``.  The
+:class:`EngineRouting` record it returns is the one provenance shape for
+every engine decision: it travels on plan and profile provenance so
+``explain`` can say which engine ran and why, with the AGM bound, the
+GYO join tree (acyclic) or the Generic-Join expansion order (cyclic),
+and the kernels the database actually ran
+(:meth:`~repro.database.Database.kernel_stats`).
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.database import Database
+from repro.database import Database, KernelStats
 from repro.relational.attributes import format_attrs
 from repro.relational.columnar import current_engine
 from repro.schemegraph.acyclicity import is_alpha_acyclic
 from repro.schemegraph.jointree import JoinTree, build_join_tree
-from repro.schemegraph.scheme import DatabaseScheme
 from repro.wcoj.agm import FractionalEdgeCover, fractional_edge_cover
 from repro.wcoj.order import choose_order
 
@@ -50,8 +54,9 @@ class EngineRouting:
     """Why a query runs on the engine it runs on.
 
     ``requested`` is the engine the database would have used on its own
-    (its pin, or the process-wide engine); ``effective`` the engine the
-    router chose; ``cyclic``/``connected`` the scheme-shape facts the
+    (its pin, or the process-wide engine); ``effective`` the engine that
+    runs -- ``"auto"`` when kernels are priced per connected subset;
+    ``cyclic``/``connected`` the scheme-shape facts the
     decision rests on; ``reason`` a one-line human explanation;
     ``cover`` the optimal fractional edge cover of the scheme hypergraph
     (the AGM output bound), attached whenever the scheme is connected;
@@ -60,7 +65,9 @@ class EngineRouting:
     the GYO join tree the Yannakakis pipeline sweeps (connected acyclic
     schemes); and ``expansion`` the Generic-Join attribute order
     (connected cyclic schemes) -- the last two feed the ``explain``
-    rendering of the multiway structure.
+    rendering of the multiway structure; and ``database`` the routed
+    database, whose :meth:`~repro.database.Database.kernel_stats` feed
+    :attr:`kernels`.
     """
 
     __slots__ = (
@@ -73,6 +80,7 @@ class EngineRouting:
         "components",
         "tree",
         "expansion",
+        "database",
     )
 
     def __init__(
@@ -86,6 +94,7 @@ class EngineRouting:
         components: Tuple[Tuple[int, bool, str], ...] = (),
         tree: Optional[JoinTree] = None,
         expansion: Optional[Tuple[str, ...]] = None,
+        database: Optional[Database] = None,
     ):
         self.requested = requested
         self.effective = effective
@@ -96,6 +105,16 @@ class EngineRouting:
         self.components = components
         self.tree = tree
         self.expansion = expansion
+        self.database = database
+
+    @property
+    def kernels(self) -> Optional[KernelStats]:
+        """The kernels the routed database has run so far (read live, so
+        a plan explained after execution shows them), or ``None`` when
+        the record carries no database."""
+        if self.database is None:
+            return None
+        return self.database.kernel_stats()
 
     @property
     def routed(self) -> bool:
@@ -148,6 +167,7 @@ class EngineRouting:
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-ready image (embedded in plan/profile exports)."""
+        kernels = self.kernels
         return {
             "requested": self.requested,
             "effective": self.effective,
@@ -171,6 +191,7 @@ class EngineRouting:
             "expansion": (
                 list(self.expansion) if self.expansion is not None else None
             ),
+            "kernels": kernels.to_dict() if kernels is not None else None,
         }
 
     def __repr__(self) -> str:
@@ -179,38 +200,29 @@ class EngineRouting:
 
 
 class EngineRouter:
-    """Classify a database's connected subsets and pick its engine.
+    """Report which engine runs a database's joins, and why.
 
-    The router only ever *upgrades the default*: a database pinned with
-    ``engine=`` keeps its pin, and a process engine that was explicitly
-    moved off ``"vector"`` is respected.  The decision matrix (also in
-    docs/api.md):
+    The decision matrix (also in docs/api.md):
 
     ========================  ==========================================
     situation                 effective engine
     ========================  ==========================================
     ``Database(engine=...)``  the pin, always
     process engine != vector  the process engine, always
-    some cyclic component     ``wcoj`` (``yannakakis`` when acyclic
-    of >= 3 relations         components of >= 3 relations coexist)
-    some acyclic component    ``yannakakis``
-    of >= 3 relations
-    everything else           ``vector``
+    everything else           ``auto``: each connected subset of >= 3
+                              relations is priced and runs on Generic
+                              Join, Yannakakis or the binary extension
     ========================  ==========================================
     """
 
+    #: The reason ``explain`` prints for ``"auto"``.
+    PRICED = (
+        "kernel priced per connected subset S: generic join if "
+        "AGM(S) < tau(S-l), yannakakis if sum |R| < tau(S-l), else binary"
+    )
+
     def __init__(self, db: Database):
         self._db = db
-
-    @staticmethod
-    def classify(subscheme: DatabaseScheme) -> str:
-        """The engine a single connected subset wants: ``"wcoj"`` for
-        cyclic subsets of three or more relations, ``"yannakakis"`` for
-        acyclic ones, ``"vector"`` below three relations (binary plans
-        are already optimal on one or two relations)."""
-        if len(subscheme) < 3:
-            return "vector"
-        return "yannakakis" if is_alpha_acyclic(subscheme) else "wcoj"
 
     def route(self) -> EngineRouting:
         """Decide the execution engine for the database and say why."""
@@ -225,49 +237,38 @@ class EngineRouter:
                 [rel.scheme for rel in relations],
                 [len(rel) for rel in relations],
             )
-        components = tuple(
-            (len(component), not is_alpha_acyclic(component), self.classify(component))
-            for component in scheme.components()
-        )
-
-        def finish(requested: str, effective: str, reason: str) -> EngineRouting:
-            tree = None
-            expansion = None
-            if connected and effective == "yannakakis" and not cyclic:
-                tree = build_join_tree(scheme)
-            elif connected and cyclic and effective in ("wcoj", "yannakakis"):
-                expansion = choose_order(
-                    [rel.scheme for rel in db.relations()]
-                )
-            return EngineRouting(
-                requested, effective, cyclic, connected, reason,
-                cover, components, tree, expansion,
-            )
-
+        components = scheme.components()
         pinned = db.pinned_engine
+        requested = pinned if pinned is not None else current_engine()
         if pinned is not None:
-            return finish(pinned, pinned, "pinned on the database")
-        requested = current_engine()
-        if requested != "vector":
-            return finish(requested, requested, "process engine set explicitly")
-        wanted = {engine for _, _, engine in components}
-        if "yannakakis" in wanted and "wcoj" in wanted:
-            return finish(
-                requested, "yannakakis",
-                "mixed components: semijoin reduction on acyclic subsets, "
-                "generic join on cyclic ones",
+            effective, reason = pinned, "pinned on the database"
+        elif requested != "vector":
+            effective, reason = requested, "process engine set explicitly"
+        elif any(len(component) >= 3 for component in components):
+            effective, reason = "auto", self.PRICED
+        else:
+            effective = "auto"
+            reason = "no connected subset of three or more relations"
+        # Below three relations "auto" has nothing to price: the join is
+        # one binary step on the default kernel.
+        verdicts = tuple(
+            (
+                len(component),
+                not is_alpha_acyclic(component),
+                "vector" if effective == "auto" and len(component) < 3
+                else effective,
             )
-        if "yannakakis" in wanted:
-            return finish(
-                requested, "yannakakis",
-                "semijoin reduction bounds intermediates by the output",
-            )
-        if "wcoj" in wanted:
-            return finish(
-                requested, "wcoj",
-                "generic join runs within the AGM bound",
-            )
-        return finish(
-            requested, requested,
-            "no connected subset of three or more relations",
+            for component in components
+        )
+        tree = None
+        expansion = None
+        if connected:
+            auto = effective == "auto" and len(scheme) >= 3
+            if not cyclic and (auto or effective == "yannakakis"):
+                tree = build_join_tree(scheme)
+            elif cyclic and (auto or effective in ("wcoj", "yannakakis")):
+                expansion = choose_order([rel.scheme for rel in db.relations()])
+        return EngineRouting(
+            requested, effective, cyclic, connected, reason,
+            cover, verdicts, tree, expansion, db,
         )

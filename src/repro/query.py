@@ -197,6 +197,9 @@ class Plan:
                     f"(binary plan tau: {self.cost})"
                 )
             lines.extend(routing.structure_lines())
+            kernels = routing.kernels
+            if kernels is not None:
+                lines.append("kernels: " + kernels.describe())
         if self.degraded:
             record = self.provenance.degradation
             lines.append(
@@ -258,12 +261,10 @@ class JoinQuery:
     ):
         from repro.optimizer.route import EngineRouter
 
+        # The routing record only explains the engine choice: kernels
+        # are picked per connected subset inside the database itself, so
+        # the caller's database (and its warm caches) is used as is.
         self._routing = EngineRouter(db).route()
-        if self._routing.routed:
-            # Pin the routed engine so every join launched through this
-            # query (searches, condition sweeps, plan execution via the
-            # shared memo) runs on it.
-            db = db.with_engine(self._routing.effective)
         self._db = db
         self._jobs = jobs
         self._runtime = runtime
@@ -276,8 +277,7 @@ class JoinQuery:
 
     @property
     def database(self) -> Database:
-        """The underlying database (re-pinned when the router moved it
-        to another engine -- see :attr:`routing`)."""
+        """The database the query was built with."""
         return self._db
 
     @property

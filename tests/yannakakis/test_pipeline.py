@@ -170,14 +170,22 @@ class TestMixedComponents:
             return Database(relations)
         return Database(relations, engine=engine)
 
-    def test_router_wants_both_kernels(self):
+    def test_router_prices_each_component(self):
         from repro.optimizer import EngineRouter
 
-        routing = EngineRouter(self._mixed_db()).route()
-        assert routing.effective == "yannakakis"
-        assert "mixed components" in routing.reason
-        verdicts = {engine for _, _, engine in routing.components}
-        assert verdicts == {"wcoj", "yannakakis"}
+        db = self._mixed_db()
+        routing = EngineRouter(db).route()
+        assert routing.effective == "auto"
+        assert "priced per connected subset" in routing.reason
+        assert sorted(routing.components) == [(3, False, "auto"), (3, True, "auto")]
+        expected = self._mixed_db(engine="vector").evaluate()
+        assert _identical(expected, db.evaluate())
+        # The spiked triangle prices Generic Join below its quadratic
+        # stepping stone; the tiny chain's inputs (9 rows) are not below
+        # its 3-row stepping stone, so it stays binary.
+        stats = db.kernel_stats()
+        assert (stats.generic_join, stats.binary, stats.yannakakis) == (1, 1, 0)
+        assert sorted((c.kernel, c.priced) for c in stats.choices)[0] == ("binary", 3)
 
     def test_each_subset_runs_on_its_best_kernel(self):
         expected = self._mixed_db(engine="vector").evaluate()
